@@ -458,12 +458,14 @@ pub fn discover_k_segment(
     assert!(k >= 1, "need at least one segment");
     let segments: Vec<&Vec<u8>> = singles.iter().map(|m| &m.motif.segments()[0]).collect();
     let kth = params.min_length.div_ceil(k);
+    let longest = segments.iter().map(|s| s.len()).max().unwrap_or(0);
 
-    // Partial assemblies that still clear the occurrence bar.
-    let mut partial: Vec<Vec<Vec<u8>>> = vec![Vec::new()];
+    // Partial assemblies that still clear the occurrence bar, each with
+    // the occurrence number it was last graded at.
+    let mut partial: Vec<(Vec<Vec<u8>>, usize)> = vec![(Vec::new(), sequences.len())];
     for stage in 0..k {
         let mut next = Vec::new();
-        for combo in &partial {
+        for (combo, _) in &partial {
             let used: usize = combo.iter().map(Vec::len).sum();
             for seg in &segments {
                 let total = used + seg.len();
@@ -472,7 +474,6 @@ pub fn discover_k_segment(
                 }
                 // Remaining stages must still be able to reach min_length
                 // with max-length segments.
-                let longest = segments.iter().map(|s| s.len()).max().unwrap_or(0);
                 if total + (k - stage - 1) * longest < params.min_length {
                     continue;
                 }
@@ -481,7 +482,7 @@ pub fn discover_k_segment(
                 let occ =
                     occurrence_number(&Motif::new(c.clone()), sequences, params.max_mutations);
                 if occ >= params.min_occurrence {
-                    next.push(c);
+                    next.push((c, occ));
                 }
             }
         }
@@ -490,14 +491,13 @@ pub fn discover_k_segment(
 
     let mut out: Vec<ActiveMotif> = partial
         .into_iter()
-        .filter(|c| {
+        .filter(|(c, _)| {
             let total: usize = c.iter().map(Vec::len).sum();
             total >= params.min_length && c.iter().any(|s| s.len() >= kth)
         })
-        .map(|c| {
-            let motif = Motif::new(c);
-            let occurrence = occurrence_number(&motif, sequences, params.max_mutations);
-            ActiveMotif { motif, occurrence }
+        .map(|(c, occurrence)| ActiveMotif {
+            motif: Motif::new(c),
+            occurrence,
         })
         .collect();
     out.sort_by(|a, b| a.motif.cmp(&b.motif));

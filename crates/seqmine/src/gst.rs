@@ -46,6 +46,9 @@ struct Node {
 pub struct Gst {
     text: Vec<u32>,
     nodes: Vec<Node>,
+    /// Length of each node's root-to-node path label, indexed like
+    /// `nodes` (filled once at the end of [`Gst::build`]).
+    depth: Vec<usize>,
     /// Sequence id owning each text position (separators belong to the
     /// sequence they terminate).
     seq_of_pos: Vec<usize>,
@@ -78,12 +81,13 @@ impl Gst {
                 children: HashMap::new(),
                 strings: Vec::new(),
             }],
+            depth: Vec::new(),
             seq_of_pos,
             n_strings: seqs.len(),
             bitset_words,
         };
         gst.ukkonen();
-        gst.compute_string_sets();
+        gst.annotate_nodes();
         gst
     }
 
@@ -167,21 +171,20 @@ impl Gst {
         }
     }
 
-    /// Post-order accumulation of per-node string bitsets.
-    fn compute_string_sets(&mut self) {
+    /// One post-order walk that records every node's path depth and
+    /// accumulates the per-node string bitsets.
+    fn annotate_nodes(&mut self) {
         let words = self.bitset_words;
         for n in &mut self.nodes {
             n.strings = vec![0u64; words];
         }
+        self.depth = vec![0; self.nodes.len()];
         // Iterative post-order: (node, depth_before_edge, visited?).
         let mut stack: Vec<(usize, usize, bool)> = vec![(0, 0, false)];
         while let Some((id, depth, visited)) = stack.pop() {
-            let label_len = if self.nodes[id].end == LEAF_END {
-                self.text.len() - self.nodes[id].start
-            } else {
-                self.nodes[id].end - self.nodes[id].start
-            };
+            let label_len = self.edge_label_len(id);
             if !visited {
+                self.depth[id] = depth + label_len;
                 stack.push((id, depth, true));
                 let children: Vec<usize> = self.nodes[id].children.values().copied().collect();
                 for c in children {
@@ -264,7 +267,7 @@ impl Gst {
         };
         // Depth of the locus path; if pattern ends mid-edge the only
         // possible extension is the next symbol on that edge.
-        let depth = self.path_depth(node);
+        let depth = self.depth[node];
         let mut out = Vec::new();
         if depth > pattern.len() {
             // Mid-edge: next symbol of this node's incoming label.
@@ -290,26 +293,6 @@ impl Gst {
         } else {
             self.nodes[node].end - self.nodes[node].start
         }
-    }
-
-    /// Length of the root-to-`node` path label.
-    fn path_depth(&self, node: usize) -> usize {
-        // Recompute by walking down is awkward; store depths lazily
-        // instead: depth = parent depth + label. We do not store parents,
-        // so compute via a full DFS memo on demand (cached).
-        self.depths()[node]
-    }
-
-    fn depths(&self) -> Vec<usize> {
-        let mut depth = vec![0usize; self.nodes.len()];
-        let mut stack = vec![0usize];
-        while let Some(id) = stack.pop() {
-            for &c in self.nodes[id].children.values() {
-                depth[c] = depth[id] + self.edge_label_len(c);
-                stack.push(c);
-            }
-        }
-        depth
     }
 
     /// All distinct separator-free substrings with length in

@@ -9,9 +9,15 @@
 //! `*S1*…*S_j*` against some prefix of the sequence whose last consumed
 //! segment character is at position `≤ i` (the trailing `*` makes `B_j`
 //! monotone non-increasing in `i` after a prefix-min). `B_0 ≡ 0` (the
-//! leading `*` absorbs any prefix); each segment is then aligned by a
-//! banded-free edit-distance matrix whose top row is `B_{j-1}`'s
-//! prefix-min. The answer is `min_i B_m(i)`. Complexity `O(|P| · |s|)`.
+//! leading `*` absorbs any prefix); each segment is then aligned by an
+//! unbanded edit-distance matrix whose top row is `B_{j-1}`'s
+//! prefix-min. The answer is `min_i B_m(i)`. Complexity `O(|P| · |s|)`,
+//! in three reused rows of `|s| + 1` entries.
+//!
+//! With no mutations allowed, [`matches_within`] skips the DP: cost 0
+//! means the segments occur exactly, in order and without overlap, so a
+//! greedy scan for each segment's leftmost occurrence after the previous
+//! one gives the same answer.
 
 use crate::seq::{Motif, Sequence};
 
@@ -25,18 +31,17 @@ pub fn min_mutations(motif: &Motif, seq: &Sequence) -> usize {
     // first i characters (prefix-min applied: using MORE of the sequence
     // never hurts thanks to the separating VLDC).
     let mut prev: Vec<usize> = vec![0; n + 1];
+    let mut last_row: Vec<usize> = vec![0; n + 1];
+    let mut row: Vec<usize> = vec![0; n + 1];
 
-    let mut rows: Vec<usize> = Vec::new();
     for seg in motif.segments() {
-        // cur[k][i]: min cost aligning the first k chars of seg such that
-        // the alignment ends at sequence position i. Row 0 is prev (start
-        // the segment anywhere after the previous match).
-        rows.clear();
-        rows.extend_from_slice(&prev);
-        let mut last_row = rows.clone();
-        for (k, &c) in seg.iter().enumerate() {
-            let mut row = vec![usize::MAX; n + 1];
-            // Starting at i = 0 means deleting seg[..=k] entirely.
+        // After k segment chars, last_row[i] is the min cost aligning
+        // them so that the alignment ends at sequence position i. With
+        // k = 0 it is prev (start the segment anywhere after the previous
+        // match).
+        last_row.copy_from_slice(&prev);
+        for &c in seg {
+            // Ending at i = 0 means deleting the segment chars so far.
             row[0] = last_row[0] + 1;
             for i in 1..=n {
                 let sub = last_row[i - 1] + usize::from(s[i - 1] != c);
@@ -44,8 +49,7 @@ pub fn min_mutations(motif: &Motif, seq: &Sequence) -> usize {
                 let ins = row[i - 1] + 1; // insert s[i-1] into segment
                 row[i] = sub.min(del).min(ins);
             }
-            last_row = row;
-            let _ = k;
+            std::mem::swap(&mut last_row, &mut row);
         }
         // Trailing/inter-segment VLDC: prefix-min so later segments may
         // start at any position ≥ the end of this one.
@@ -60,7 +64,26 @@ pub fn min_mutations(motif: &Motif, seq: &Sequence) -> usize {
 
 /// Does `motif` occur in `seq` within `max_mut` mutations?
 pub fn matches_within(motif: &Motif, seq: &Sequence, max_mut: usize) -> bool {
-    min_mutations(motif, seq) <= max_mut
+    if max_mut > 0 {
+        return min_mutations(motif, seq) <= max_mut;
+    }
+    // Exact: each segment's leftmost occurrence at or after the end of
+    // the previous segment's match (leftmost leaves the most room). The
+    // first-byte test skips most windows before the slice compare.
+    let s = seq.bytes();
+    let mut from = 0;
+    motif.segments().iter().all(|seg| {
+        match s[from..]
+            .windows(seg.len())
+            .position(|w| w[0] == seg[0] && w == &seg[..])
+        {
+            Some(at) => {
+                from += at + seg.len();
+                true
+            }
+            None => false,
+        }
+    })
 }
 
 /// The occurrence number `occurrence_no^i_S(P)` (§2.3.3): how many
@@ -134,6 +157,12 @@ mod tests {
         assert!(min_mutations(&m, &seq("AZZA")) >= 1);
         // Two disjoint ZZ runs: exact.
         assert_eq!(min_mutations(&m, &seq("ZZAZZ")), 0);
+        // The exact scan agrees: adjacent runs match, overlapping ones
+        // do not.
+        assert!(matches_within(&m, &seq("ZZAZZ"), 0));
+        assert!(matches_within(&m, &seq("AZZZZA"), 0));
+        assert!(!matches_within(&m, &seq("AZZZA"), 0));
+        assert!(!matches_within(&m, &seq(""), 0));
     }
 
     #[test]
