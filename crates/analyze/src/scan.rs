@@ -2,8 +2,7 @@
 //!
 //! This is the front end of the analyzer — a deliberately conservative
 //! textual extractor (no rustc, no syn; the workspace has no parser
-//! dependency) grown from PR 2's `lint-templates` scanner. From each
-//! `.rs` file it pulls:
+//! dependency). From each `.rs` file it pulls:
 //!
 //! * **Template sites** — literal `Template::new(vec![...])`
 //!   constructions, with their field shapes, the `let` binding that names

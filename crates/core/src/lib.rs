@@ -19,6 +19,12 @@
 //! | ETT   | [`etree::sequential_ett`] | parent only            | — |
 //! | PEDT  | [`parallel::parallel_edt`] | full                  | level barrier on PLinda |
 //! | PETT  | [`parallel::parallel_ett`] | parent only           | none (counting termination) |
+//! | Wave  | [`parallel::parallel_wave`] | parent only          | level barrier on PLinda |
+//! | Hybrid | [`parallel::parallel_hybrid`] | full, then parent only | level barrier, then counting termination |
+//!
+//! PEDT, the wave and the hybrid's first `switch_level` levels share one
+//! level-synchronous master; only its pruning rule and level limit
+//! differ.
 //!
 //! Theorems 1–4 of the dissertation state that all of these produce the
 //! same good patterns, with the EDT forms testing the minimal pattern set;

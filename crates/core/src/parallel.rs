@@ -22,13 +22,17 @@
 //!   tasks at `initial_task_level`, producing more (smaller) initial tasks
 //!   when many workers are available.
 //!
+//! PLED, the candidate-partitioned [`parallel_wave`] and the PLED phase
+//! of [`parallel_hybrid`] run one level-synchronous master; they differ
+//! only in its pruning rule and level limit.
+//!
 //! All variants produce identical good-pattern sets (Theorems 2–4); the
 //! tests and `tests/integration_parallel_mining.rs` check this, including
 //! under injected worker failures.
 
 use crate::problem::{MiningOutcome, MiningProblem, PatternCodec};
-use plinda::{FarmConfig, TaskFarm, Value};
-use std::collections::HashMap;
+use plinda::{FarmConfig, Payload, PlindaError, TaskFarm, Value, WorkerScope};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Worker style for [`parallel_ett`].
@@ -43,8 +47,6 @@ pub enum WorkerStrategy {
 /// Configuration of a parallel E-tree traversal.
 #[derive(Debug, Clone)]
 pub struct ParallelConfig {
-    /// Number of worker processes.
-    pub workers: usize,
     /// Worker style.
     pub strategy: WorkerStrategy,
     /// The level at which the master emits initial tasks; levels above it
@@ -52,29 +54,6 @@ pub struct ParallelConfig {
     /// adaptive master of §4.3.2 picks `2` when six or more machines are
     /// available.
     pub initial_task_level: usize,
-    /// Failure injections: `(delay from start, worker index)` kills — the
-    /// simulated workstation-owner returns of §7.1.1. The runtime aborts
-    /// the victim's open transaction and re-spawns it; results must be
-    /// unaffected (PLinda's guarantee, exercised by the integration
-    /// tests).
-    pub kill_schedule: Vec<(std::time::Duration, usize)>,
-    /// Optional trace recorder, installed on the farm's tuple space so the
-    /// run can be audited with the `plinda::check` protocol checkers.
-    pub recorder: Option<plinda::Recorder>,
-    /// Optional metrics registry, installed on the farm's tuple space.
-    /// The farm folds per-worker accounting into it at teardown; snapshot
-    /// it after the driver returns for the run's complete ledger.
-    pub metrics: Option<plinda::MetricsRegistry>,
-    /// Optional pre-connected tuple space — e.g. the result of
-    /// [`plinda::TupleSpace::connect_unix`] to run the traversal's farm
-    /// against an `fpdm-spaced` broker. `None` uses a fresh in-process
-    /// space; the traversal code is identical either way.
-    pub space: Option<Arc<plinda::TupleSpace>>,
-    /// Optional worker task-prefetch depth, forwarded to
-    /// [`plinda::FarmConfig::with_prefetch`]: how many tasks a worker takes
-    /// per transaction. `None` keeps the farm default (1 in-process, 8 over
-    /// a socket backend).
-    pub prefetch: Option<usize>,
     /// Optional per-job tag appended to the farm program name
     /// (`"<name>.<tag>"`), namespacing the task/result/counter channels.
     /// Required when concurrent jobs of the *same* program share one
@@ -82,77 +61,78 @@ pub struct ParallelConfig {
     /// channel names are otherwise fixed per program, so untagged
     /// concurrent runs would cross-deliver tasks and results.
     pub job_tag: Option<String>,
+    /// The bag-of-tasks farm every traversal runs on: worker count, kill
+    /// schedule, recorder, metrics registry, space and prefetch depth.
+    /// Private so that dispatch stays [`plinda::Dispatch::Bag`].
+    farm: FarmConfig,
 }
 
 impl ParallelConfig {
+    fn new(workers: usize, strategy: WorkerStrategy) -> Self {
+        assert!(workers >= 1, "need at least one worker");
+        ParallelConfig {
+            strategy,
+            initial_task_level: 1,
+            job_tag: None,
+            farm: FarmConfig::bag(workers),
+        }
+    }
+
     /// Plain load-balanced configuration.
     pub fn load_balanced(workers: usize) -> Self {
-        ParallelConfig {
-            workers,
-            strategy: WorkerStrategy::LoadBalanced,
-            initial_task_level: 1,
-            kill_schedule: Vec::new(),
-            recorder: None,
-            metrics: None,
-            space: None,
-            prefetch: None,
-            job_tag: None,
-        }
+        Self::new(workers, WorkerStrategy::LoadBalanced)
     }
 
     /// Plain optimistic configuration.
     pub fn optimistic(workers: usize) -> Self {
-        ParallelConfig {
-            workers,
-            strategy: WorkerStrategy::Optimistic,
-            initial_task_level: 1,
-            kill_schedule: Vec::new(),
-            recorder: None,
-            metrics: None,
-            space: None,
-            prefetch: None,
-            job_tag: None,
-        }
+        Self::new(workers, WorkerStrategy::Optimistic)
     }
 
-    /// Schedule a kill of worker `index` after `delay`.
+    /// Schedule a kill of worker `index` after `delay` — the simulated
+    /// workstation-owner returns of §7.1.1. The runtime aborts the
+    /// victim's open transaction and re-spawns it; results must be
+    /// unaffected (PLinda's guarantee, exercised by the integration
+    /// tests). `index` must be below the worker count.
     pub fn kill_after(mut self, delay: std::time::Duration, index: usize) -> Self {
-        self.kill_schedule.push((delay, index));
+        self.farm = self.farm.kill_after(delay, index);
         self
     }
 
     /// Apply the adaptive-master rule of §4.3.2: with 6 or more workers,
     /// descend to level 2 before emitting tasks.
     pub fn adaptive(mut self) -> Self {
-        self.initial_task_level = if self.workers >= 6 { 2 } else { 1 };
+        self.initial_task_level = if self.farm.workers >= 6 { 2 } else { 1 };
         self
     }
 
     /// Record the run's tuple-space trace into `rec` for offline protocol
     /// checking.
     pub fn with_recorder(mut self, rec: plinda::Recorder) -> Self {
-        self.recorder = Some(rec);
+        self.farm = self.farm.with_recorder(rec);
         self
     }
 
     /// Meter the run into `reg`: live tuple-space/transaction metrics
     /// while running, per-worker accounting folded in at farm teardown.
     pub fn with_metrics(mut self, reg: plinda::MetricsRegistry) -> Self {
-        self.metrics = Some(reg);
+        self.farm = self.farm.with_metrics(reg);
         self
     }
 
-    /// Run the traversal over `space` (e.g. a socket-connected broker
-    /// space) instead of a fresh in-process one.
+    /// Run the traversal over `space` (e.g. the result of
+    /// [`plinda::TupleSpace::connect_unix`], an `fpdm-spaced` broker)
+    /// instead of a fresh in-process one; the traversal code is identical
+    /// either way.
     pub fn with_space(mut self, space: Arc<plinda::TupleSpace>) -> Self {
-        self.space = Some(space);
+        self.farm = self.farm.with_space(space);
         self
     }
 
     /// Workers take up to `n` tasks per transaction (batched withdrawal;
-    /// one commit covers the whole batch).
+    /// one commit covers the whole batch). Unset, the farm default is 1
+    /// in-process and 8 over a socket backend.
     pub fn with_prefetch(mut self, n: usize) -> Self {
-        self.prefetch = Some(n);
+        self.farm = self.farm.with_prefetch(n);
         self
     }
 
@@ -181,31 +161,6 @@ const NORMAL: i64 = 0;
 /// tuple instead of expanding in place).
 const EVAL: i64 = 2;
 
-/// Translate a [`ParallelConfig`] into farm configuration, ignoring
-/// out-of-range worker indices in the kill schedule as the previous
-/// implementation did.
-fn bag_config(config: &ParallelConfig) -> FarmConfig {
-    let mut cfg = FarmConfig::bag(config.workers);
-    for &(delay, index) in &config.kill_schedule {
-        if index < config.workers {
-            cfg = cfg.kill_after(delay, index);
-        }
-    }
-    if let Some(rec) = &config.recorder {
-        cfg = cfg.with_recorder(rec.clone());
-    }
-    if let Some(reg) = &config.metrics {
-        cfg = cfg.with_metrics(reg.clone());
-    }
-    if let Some(space) = &config.space {
-        cfg = cfg.with_space(Arc::clone(space));
-    }
-    if let Some(n) = config.prefetch {
-        cfg = cfg.with_prefetch(n);
-    }
-    cfg
-}
-
 /// Every farm in this module must drain its channels: anything left in
 /// the space at quiescence is a protocol leak.
 fn assert_drained(name: &str, report: &plinda::FarmReport) {
@@ -217,8 +172,125 @@ fn assert_drained(name: &str, report: &plinda::FarmReport) {
 }
 
 // ---------------------------------------------------------------------
-// PLED: parallel E-dag traversal (level-synchronised).
+// The level-synchronous master: PLED, the wave, and the hybrid's PLED
+// phase.
 // ---------------------------------------------------------------------
+
+/// Which generated candidates [`level_master`] grades.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Prune {
+    /// The E-dag visiting rule (Definition 2): a candidate is graded only
+    /// when all its immediate subpatterns proved good on the previous
+    /// level.
+    AllSubpatterns,
+    /// The E-tree rule: every child of a good pattern is graded.
+    ParentOnly,
+}
+
+/// The level-synchronous master (PLED's Fig. 3.4). Each level it sends
+/// the candidates `prune` admits as one task wave under `flag` (one
+/// deferred `send_all` burst), collects the wave's reports in bulk
+/// (`recv_upto`, each read as `(encoding, goodness)` by `grade`), and
+/// expands the children of the good candidates in dispatch order, so
+/// report arrival order never leaks into the next level. The wave size is
+/// the termination count: there is no shared outstanding-work counter,
+/// and the master blocks only on its own wave's reports.
+///
+/// Stops when a level comes up empty or after `max_level` levels, and
+/// returns the outcome so far together with the unvisited frontier (the
+/// children of the last level's good patterns).
+fn level_master<P, R>(
+    problem: &P,
+    farm: &TaskFarm<Vec<u8>, R>,
+    flag: i64,
+    grade: fn(R) -> (Vec<u8>, f64),
+    prune: Prune,
+    max_level: Option<usize>,
+) -> (MiningOutcome<P::Pattern>, Vec<P::Pattern>)
+where
+    P: MiningProblem + PatternCodec,
+    R: Payload + 'static,
+{
+    let mut outcome = MiningOutcome::new();
+    let root = problem.root();
+    // The previous level's good patterns; only `AllSubpatterns` reads it.
+    let mut prev_good: HashSet<P::Pattern> = HashSet::from([root.clone()]);
+    let mut frontier = problem.children(&root);
+    let mut level = 1;
+
+    while !frontier.is_empty() && max_level.is_none_or(|max| level <= max) {
+        let mut dispatched = Vec::with_capacity(frontier.len());
+        let mut order = Vec::with_capacity(frontier.len());
+        for p in frontier {
+            if prune == Prune::ParentOnly
+                || problem
+                    .immediate_subpatterns(&p)
+                    .iter()
+                    .all(|s| prev_good.contains(s))
+            {
+                order.push(problem.encode_pattern(&p));
+                dispatched.push(p);
+            }
+        }
+        farm.send_all(flag, &order);
+
+        let mut grades: HashMap<Vec<u8>, f64> = HashMap::with_capacity(order.len());
+        let mut pending = order.len();
+        while pending > 0 {
+            let reports = farm.recv_upto(pending);
+            pending -= reports.len();
+            grades.extend(reports.into_iter().map(grade));
+        }
+        debug_assert_eq!(grades.len(), order.len(), "unique generation");
+        outcome.tested += order.len() as u64;
+
+        let mut this_good = HashSet::new();
+        let mut next = Vec::new();
+        for (p, enc) in dispatched.into_iter().zip(&order) {
+            let g = grades[enc];
+            if problem.is_good(&p, g) {
+                next.extend(problem.children(&p));
+                outcome.good.insert(p.clone(), g);
+                if prune == Prune::AllSubpatterns {
+                    this_good.insert(p);
+                }
+            }
+        }
+        prev_good = this_good;
+        frontier = next;
+        level += 1;
+    }
+
+    (outcome, frontier)
+}
+
+/// Run the level master to exhaustion over a farm of stateless grading
+/// workers (Fig. 3.5): each task is one encoded candidate, each report
+/// `(encoding, goodness)`.
+fn level_traversal<P>(
+    name: &str,
+    problem: Arc<P>,
+    config: &ParallelConfig,
+    prune: Prune,
+) -> MiningOutcome<P::Pattern>
+where
+    P: MiningProblem + PatternCodec + Send + Sync + 'static,
+{
+    let name = config.farm_name(name);
+    let wp = Arc::clone(&problem);
+    let farm = TaskFarm::<Vec<u8>, (Vec<u8>, f64)>::start(
+        &name,
+        config.farm.clone(),
+        move |scope, _flag, enc| {
+            let g = wp.goodness(&wp.decode_pattern(&enc));
+            scope.result(&(enc, g));
+            Ok(())
+        },
+    );
+    let (outcome, _) = level_master(&*problem, &farm, NORMAL, |r| r, prune, None);
+    assert_drained(&name, &farm.finish());
+    outcome
+}
 
 /// Run a parallel E-dag traversal with `workers` worker processes.
 ///
@@ -238,99 +310,22 @@ pub fn parallel_edt_cfg<P>(problem: Arc<P>, config: &ParallelConfig) -> MiningOu
 where
     P: MiningProblem + PatternCodec + Send + Sync + 'static,
 {
-    assert!(config.workers >= 1, "need at least one worker");
-
-    // PLED worker (Fig. 3.5): evaluate goodness of task patterns.
-    let name = config.farm_name("pled");
-    let wp = Arc::clone(&problem);
-    let farm = TaskFarm::<Vec<u8>, (Vec<u8>, f64)>::start(
-        &name,
-        bag_config(config),
-        move |scope, _flag, enc| {
-            let p = wp.decode_pattern(&enc);
-            let g = wp.goodness(&p);
-            scope.result(&(enc, g));
-            Ok(())
-        },
-    );
-
-    // PLED master (Fig. 3.4), level-synchronised per Definition 2.
-    let mut outcome = MiningOutcome::new();
-    let root = problem.root();
-    let mut prev_good: HashMap<P::Pattern, bool> = HashMap::new();
-    prev_good.insert(root.clone(), true);
-    let mut frontier: Vec<P::Pattern> = problem.children(&root);
-
-    while !frontier.is_empty() {
-        let mut this_good: HashMap<P::Pattern, bool> = HashMap::new();
-        let mut dispatched: HashMap<Vec<u8>, P::Pattern> = HashMap::new();
-
-        for p in frontier {
-            let eligible = problem
-                .immediate_subpatterns(&p)
-                .iter()
-                .all(|s| prev_good.get(s).copied().unwrap_or(false));
-            if eligible {
-                let enc = problem.encode_pattern(&p);
-                dispatched.insert(enc, p);
-            } else {
-                this_good.insert(p, false);
-            }
-        }
-        // One deferred burst per level instead of a round trip per task.
-        farm.send_all(NORMAL, &dispatched.keys().cloned().collect::<Vec<_>>());
-
-        let mut next_frontier = Vec::new();
-        let mut pending = dispatched.len();
-        while pending > 0 {
-            for (enc, g) in farm.recv_upto(pending) {
-                pending -= 1;
-                outcome.tested += 1;
-                let p = dispatched
-                    .get(&enc)
-                    .expect("result for undisputed task")
-                    .clone();
-                let good = problem.is_good(&p, g);
-                if good {
-                    outcome.good.insert(p.clone(), g);
-                    next_frontier.extend(problem.children(&p));
-                }
-                this_good.insert(p, good);
-            }
-        }
-
-        prev_good = this_good;
-        frontier = next_frontier;
-    }
-
-    assert_drained(&name, &farm.finish());
-    outcome
+    level_traversal("pled", problem, config, Prune::AllSubpatterns)
 }
-
-// ---------------------------------------------------------------------
-// Wave: candidate-partitioned level traversal (the farm port of the
-// sequential miners — seqmine, treemine, episodes).
-// ---------------------------------------------------------------------
 
 /// Run a candidate-partitioned wave traversal of the E-tree under the
 /// farm program name `name`.
 ///
 /// This is the *candidate partitioning* of Gan et al.'s parallel
-/// sequential-pattern-mining taxonomy: the master owns the lattice
-/// frontier and emits each level's candidates as one task wave
-/// (`send_all`, one deferred burst); stateless workers each grade their
-/// share of the candidates against the full database; the master collects
-/// the wave's reports in bulk (`recv_upto`) and expands the children of
-/// the good ones into the next wave. Because every [`MiningProblem`]
-/// generates each pattern exactly once from its unique parent, the tested
-/// set — and therefore the whole [`MiningOutcome`] — is bit-identical to
+/// sequential-pattern-mining taxonomy — the farm port of the sequential
+/// miners (seqmine, treemine, episodes): the master owns the lattice
+/// frontier and emits each level's candidates as one task wave;
+/// stateless workers each grade their share of the candidates against
+/// the full database. It is PLED's master with parent-only pruning, like
+/// PLET. Because every [`MiningProblem`] generates each pattern exactly
+/// once from its unique parent, the tested set — and therefore the whole
+/// [`MiningOutcome`] — is bit-identical to
 /// [`crate::etree::sequential_ett`]'s.
-///
-/// Unlike PLED there is no subpattern-eligibility rule (parent-only
-/// pruning, like PLET), and unlike PLET there is no shared
-/// outstanding-work counter: the wave size itself is the termination
-/// count, so workers never retire against a counter and the master never
-/// blocks on quiescence — only on its own wave's reports.
 pub fn parallel_wave<P>(
     name: &str,
     problem: Arc<P>,
@@ -339,65 +334,7 @@ pub fn parallel_wave<P>(
 where
     P: MiningProblem + PatternCodec + Send + Sync + 'static,
 {
-    assert!(config.workers >= 1, "need at least one worker");
-
-    // Worker: grade one candidate; report `(encoding, goodness)`.
-    let name = config.farm_name(name);
-    let wp = Arc::clone(&problem);
-    let farm = TaskFarm::<Vec<u8>, (Vec<u8>, f64)>::start(
-        &name,
-        bag_config(config),
-        move |scope, _flag, enc| {
-            let p = wp.decode_pattern(&enc);
-            let g = wp.goodness(&p);
-            scope.result(&(enc, g));
-            Ok(())
-        },
-    );
-
-    // Master: one wave per lattice level, starting from the root's
-    // children.
-    let mut outcome = MiningOutcome::new();
-    let root = problem.root();
-    let mut wave: Vec<P::Pattern> = problem.children(&root);
-
-    while !wave.is_empty() {
-        let mut order: Vec<Vec<u8>> = Vec::with_capacity(wave.len());
-        let mut dispatched: HashMap<Vec<u8>, P::Pattern> = HashMap::with_capacity(wave.len());
-        for p in wave {
-            let enc = problem.encode_pattern(&p);
-            order.push(enc.clone());
-            dispatched.insert(enc, p);
-        }
-        debug_assert_eq!(order.len(), dispatched.len(), "unique generation");
-        farm.send_all(NORMAL, &order);
-
-        let mut grades: HashMap<Vec<u8>, f64> = HashMap::with_capacity(order.len());
-        let mut pending = order.len();
-        while pending > 0 {
-            for (enc, g) in farm.recv_upto(pending) {
-                pending -= 1;
-                outcome.tested += 1;
-                grades.insert(enc, g);
-            }
-        }
-
-        // Expand in dispatch order: report arrival order must not leak
-        // into the next wave (schedules replay deterministically).
-        let mut next = Vec::new();
-        for enc in &order {
-            let p = &dispatched[enc];
-            let g = grades[enc];
-            if problem.is_good(p, g) {
-                outcome.good.insert(p.clone(), g);
-                next.extend(problem.children(p));
-            }
-        }
-        wave = next;
-    }
-
-    assert_drained(&name, &farm.finish());
-    outcome
+    level_traversal(name, problem, config, Prune::ParentOnly)
 }
 
 // ---------------------------------------------------------------------
@@ -409,6 +346,58 @@ where
 /// pruned-propagation of Figs. 4.6/3.9.
 type DoneReport = (Vec<u8>, f64, i64, i64);
 
+/// The load-balanced worker of Fig. 4.7: evaluate one node; expand in
+/// place if good. Retiring the task against the shared outstanding-work
+/// counter happens in the same transaction as consuming it and publishing
+/// its children and report, so the counter reads zero exactly when every
+/// report has committed.
+fn expand_in_place<P>(
+    problem: &P,
+    scope: &mut WorkerScope<'_, Vec<u8>, DoneReport>,
+    enc: Vec<u8>,
+) -> Result<(), PlindaError>
+where
+    P: MiningProblem + PatternCodec,
+{
+    let p = problem.decode_pattern(&enc);
+    let g = problem.goodness(&p);
+    let good = problem.is_good(&p, g);
+    let mut n_children = 0i64;
+    if good {
+        for c in problem.children(&p) {
+            scope.emit(NORMAL, &problem.encode_pattern(&c));
+            n_children += 1;
+        }
+    }
+    scope.retire(n_children)?;
+    scope.result(&(enc, g, i64::from(good), n_children));
+    Ok(())
+}
+
+/// The load-balanced master of Fig. 4.6: emit `frontier` as the initial
+/// tasks (one deferred burst), seed the outstanding-work counter, block
+/// until the workers drive it to zero (termination detection), then
+/// collect every report in bulk into `outcome`.
+fn expand_master<P>(
+    problem: &P,
+    farm: &TaskFarm<Vec<u8>, DoneReport>,
+    frontier: &[P::Pattern],
+    outcome: &mut MiningOutcome<P::Pattern>,
+) where
+    P: MiningProblem + PatternCodec,
+{
+    let encoded: Vec<Vec<u8>> = frontier.iter().map(|p| problem.encode_pattern(p)).collect();
+    farm.send_all(NORMAL, &encoded);
+    farm.seed_counter(frontier.len() as i64);
+    farm.await_quiescent();
+    for (enc, g, good, _children) in farm.drain() {
+        outcome.tested += 1;
+        if good == 1 {
+            outcome.good.insert(problem.decode_pattern(&enc), g);
+        }
+    }
+}
+
 /// Run a parallel E-tree traversal per `config`.
 ///
 /// Equivalent (Theorem 3) to [`crate::etree::sequential_ett`] in its good
@@ -418,9 +407,8 @@ pub fn parallel_ett<P>(problem: Arc<P>, config: &ParallelConfig) -> MiningOutcom
 where
     P: MiningProblem + PatternCodec + Send + Sync + 'static,
 {
-    assert!(config.workers >= 1, "need at least one worker");
     assert!(config.initial_task_level >= 1);
-    let cfg = bag_config(config);
+    let cfg = config.farm.clone();
 
     // Master preamble shared by both strategies: traverse the first
     // `initial_task_level - 1` levels locally (the adaptive master of
@@ -440,50 +428,15 @@ where
         }
         frontier = next;
     }
-    let initial = frontier.len() as i64;
 
     match config.strategy {
         WorkerStrategy::LoadBalanced => {
-            // Fig. 4.7 worker: evaluate one node; expand in place if good.
-            // Retiring the task against the shared outstanding-work
-            // counter happens in the same transaction as consuming it and
-            // publishing its children and report, so the counter reads
-            // zero exactly when every report has committed.
             let name = config.farm_name("plet-lb");
             let wp = Arc::clone(&problem);
-            let farm =
-                TaskFarm::<Vec<u8>, DoneReport>::start(&name, cfg, move |scope, _flag, enc| {
-                    let p = wp.decode_pattern(&enc);
-                    let g = wp.goodness(&p);
-                    let good = wp.is_good(&p, g);
-                    let mut n_children = 0i64;
-                    if good {
-                        for c in wp.children(&p) {
-                            scope.emit(NORMAL, &wp.encode_pattern(&c));
-                            n_children += 1;
-                        }
-                    }
-                    scope.retire(n_children)?;
-                    scope.result(&(enc, g, i64::from(good), n_children));
-                    Ok(())
-                });
-
-            // Fig. 4.6 master: emit the initial tasks (one deferred
-            // burst), seed the outstanding-work counter, block until the
-            // workers drive it to zero (termination detection), then
-            // collect every report in bulk.
-            let encoded: Vec<Vec<u8>> =
-                frontier.iter().map(|p| problem.encode_pattern(p)).collect();
-            farm.send_all(NORMAL, &encoded);
-            farm.seed_counter(initial);
-            farm.await_quiescent();
-            for (enc, g, good, _children) in farm.drain() {
-                outcome.tested += 1;
-                if good == 1 {
-                    let p = problem.decode_pattern(&enc);
-                    outcome.good.insert(p, g);
-                }
-            }
+            let farm = TaskFarm::<Vec<u8>, DoneReport>::start(&name, cfg, move |scope, _, enc| {
+                expand_in_place(&*wp, scope, enc)
+            });
+            expand_master(&*problem, &farm, &frontier, &mut outcome);
             assert_drained(&name, &farm.finish());
         }
         WorkerStrategy::Optimistic => {
@@ -514,7 +467,7 @@ where
             let encoded: Vec<Vec<u8>> =
                 frontier.iter().map(|p| problem.encode_pattern(p)).collect();
             farm.send_all(NORMAL, &encoded);
-            for _ in 0..initial {
+            for _ in 0..frontier.len() {
                 for entry in farm.recv() {
                     let Value::List(fields) = entry else {
                         unreachable!("sub entries are lists")
@@ -575,7 +528,6 @@ pub fn parallel_hybrid_cfg<P>(
 where
     P: MiningProblem + PatternCodec + Send + Sync + 'static,
 {
-    assert!(config.workers >= 1, "need at least one worker");
     assert!(switch_level >= 1, "switch level starts at 1");
 
     // One worker program serving both protocols, selected per task flag:
@@ -587,84 +539,32 @@ where
     let wp = Arc::clone(&problem);
     let farm = TaskFarm::<Vec<u8>, DoneReport>::start(
         &name,
-        bag_config(config),
+        config.farm.clone(),
         move |scope, flag, enc| {
-            let p = wp.decode_pattern(&enc);
-            let g = wp.goodness(&p);
             if flag == EVAL {
+                let g = wp.goodness(&wp.decode_pattern(&enc));
                 scope.result(&(enc, g, 0, 0));
+                Ok(())
             } else {
-                let good = wp.is_good(&p, g);
-                let mut n_children = 0i64;
-                if good {
-                    for c in wp.children(&p) {
-                        scope.emit(NORMAL, &wp.encode_pattern(&c));
-                        n_children += 1;
-                    }
-                }
-                scope.retire(n_children)?;
-                scope.result(&(enc, g, i64::from(good), n_children));
+                expand_in_place(&*wp, scope, enc)
             }
-            Ok(())
         },
     );
 
     // Phase 1: PLED over levels 1..=switch_level (full pruning).
-    let mut outcome = MiningOutcome::new();
-    let root = problem.root();
-    let mut prev_good: HashMap<P::Pattern, bool> = HashMap::new();
-    prev_good.insert(root.clone(), true);
-    let mut frontier: Vec<P::Pattern> = problem.children(&root);
-    let mut level = 1usize;
-    while !frontier.is_empty() && level <= switch_level {
-        let mut this_good: HashMap<P::Pattern, bool> = HashMap::new();
-        let mut dispatched: HashMap<Vec<u8>, P::Pattern> = HashMap::new();
-        for p in frontier {
-            let eligible = problem
-                .immediate_subpatterns(&p)
-                .iter()
-                .all(|sp| prev_good.get(sp).copied().unwrap_or(false));
-            if eligible {
-                let enc = problem.encode_pattern(&p);
-                farm.send(EVAL, &enc);
-                dispatched.insert(enc, p);
-            } else {
-                this_good.insert(p, false);
-            }
-        }
-        let mut next_frontier = Vec::new();
-        for _ in 0..dispatched.len() {
-            let (enc, g, _, _) = farm.recv();
-            outcome.tested += 1;
-            let p = dispatched[&enc].clone();
-            let good = problem.is_good(&p, g);
-            if good {
-                outcome.good.insert(p.clone(), g);
-                next_frontier.extend(problem.children(&p));
-            }
-            this_good.insert(p, good);
-        }
-        prev_good = this_good;
-        frontier = next_frontier;
-        level += 1;
-    }
+    let (mut outcome, frontier) = level_master(
+        &*problem,
+        &farm,
+        EVAL,
+        |(enc, g, _, _)| (enc, g),
+        Prune::AllSubpatterns,
+        Some(switch_level),
+    );
 
     // Phase 2: PLET over everything below, starting from the surviving
     // frontier (already pruned by PLED's subpattern rule).
     if !frontier.is_empty() {
-        let initial = frontier.len() as i64;
-        for p in &frontier {
-            farm.send(NORMAL, &problem.encode_pattern(p));
-        }
-        farm.seed_counter(initial);
-        farm.await_quiescent();
-        for (enc, g, good, _children) in farm.drain() {
-            outcome.tested += 1;
-            if good == 1 {
-                let p = problem.decode_pattern(&enc);
-                outcome.good.insert(p, g);
-            }
-        }
+        expand_master(&*problem, &farm, &frontier, &mut outcome);
     }
 
     assert_drained(&name, &farm.finish());
@@ -787,16 +687,29 @@ mod tests {
 
     #[test]
     fn wave_survives_kills_and_prefetch() {
+        // PLED, the wave and the hybrid share the level master; each must
+        // reach its failure-free answer under kills at both prefetch
+        // depths.
         let p = itemset_problem();
-        let seq = sequential_ett(&*p);
+        let (edt, ett) = (sequential_edt(&*p), sequential_ett(&*p));
         for prefetch in [1, 4] {
             let cfg = ParallelConfig::load_balanced(3)
                 .kill_after(std::time::Duration::from_millis(1), 0)
                 .kill_after(std::time::Duration::from_millis(2), 2)
                 .with_prefetch(prefetch);
-            let par = parallel_wave("wave-kill", Arc::clone(&p), &cfg);
-            assert_eq!(seq.good, par.good, "prefetch={prefetch}");
-            assert_eq!(seq.tested, par.tested);
+            let pled = parallel_edt_cfg(Arc::clone(&p), &cfg);
+            assert_eq!(edt.good, pled.good, "PLED prefetch={prefetch}");
+            assert_eq!(edt.tested, pled.tested, "Theorem 2");
+            let wave = parallel_wave("wave-kill", Arc::clone(&p), &cfg);
+            assert_eq!(ett.good, wave.good, "wave prefetch={prefetch}");
+            assert_eq!(ett.tested, wave.tested);
+            for switch in [2, 64] {
+                let hybrid = parallel_hybrid_cfg(Arc::clone(&p), &cfg, switch);
+                assert_eq!(edt.good, hybrid.good, "hybrid switch={switch}");
+                if switch == 64 {
+                    assert_eq!(edt.tested, hybrid.tested, "pure PLED phase");
+                }
+            }
         }
     }
 

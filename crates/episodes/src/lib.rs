@@ -259,7 +259,7 @@ pub fn discover_episodes_parallel(
 /// partitioned task waves over the append-an-event lattice
 /// ([`fpdm_core::parallel_wave`]). Bit-identical to [`discover_episodes`];
 /// runs unchanged over an in-process space or a socket broker
-/// (`config.space`).
+/// (`ParallelConfig::with_space`).
 pub fn discover_episodes_farm(
     events: &EventSequence,
     params: EpisodeParams,

@@ -16,25 +16,21 @@
 //! * [`sim`] — NOW-simulator replays of measured task costs for the
 //!   running-time/speedup figures (Figs. 6.3–6.8).
 //!
-//! [`lattice`] carries the same driver surface (plain + `_metered`
-//! variants) over to the three pattern-lattice miners — seqmine,
-//! treemine, episodes — run as candidate-partitioned wave farms
-//! (`fpdm_core::parallel_wave`).
+//! The farm drivers of the three pattern-lattice miners live in their own
+//! crates (`seqmine::discover::discover_farm`,
+//! `treemine::discover::discover_tree_motifs_farm`,
+//! `episodes::discover_episodes_farm`); each takes an
+//! `fpdm_core::ParallelConfig`.
 //!
 //! Each parallel routine is seed-for-seed equivalent to its sequential
 //! counterpart in `classify` (checked by tests).
 
 #![warn(missing_docs)]
 
-pub mod lattice;
 pub mod pc45;
 pub mod pcv;
 pub mod sim;
 
-pub use lattice::{
-    parallel_episodes, parallel_episodes_metered, parallel_seqmine, parallel_seqmine_metered,
-    parallel_treemine, parallel_treemine_metered,
-};
 pub use pc45::{
     parallel_c45_trials, parallel_c45_trials_metered, parallel_nyuminer_rs,
     parallel_nyuminer_rs_metered,

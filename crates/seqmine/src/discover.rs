@@ -245,7 +245,7 @@ pub fn discover_parallel(
 /// ([`fpdm_core::parallel_wave`]). Bit-identical to [`discover`] —
 /// workers grade candidate segments against the full database while the
 /// master owns the frontier — and runs unchanged over an in-process space
-/// or a socket broker (`config.space`).
+/// or a socket broker (`ParallelConfig::with_space`).
 pub fn discover_farm(
     sequences: Vec<Sequence>,
     params: DiscoveryParams,

@@ -195,7 +195,7 @@ pub fn discover_tree_motifs_parallel(
 /// partitioned task waves over the rightmost-extension lattice
 /// ([`fpdm_core::parallel_wave`]). Bit-identical to
 /// [`discover_tree_motifs`]; runs unchanged over an in-process space or a
-/// socket broker (`config.space`).
+/// socket broker (`ParallelConfig::with_space`).
 pub fn discover_tree_motifs_farm(
     trees: Vec<OrderedTree>,
     params: TreeDiscoveryParams,

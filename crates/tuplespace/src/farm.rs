@@ -64,13 +64,15 @@ pub enum Dispatch {
 }
 
 /// Configuration of a [`TaskFarm`].
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct FarmConfig {
     /// Number of worker processes.
     pub workers: usize,
     /// Task routing discipline.
     pub dispatch: Dispatch,
     /// Fault injections: `(delay from farm start, worker index to kill)`.
+    /// Every index must be below `workers`; [`TaskFarm::start`] panics
+    /// otherwise.
     pub kill_schedule: Vec<(Duration, usize)>,
     /// Optional trace recorder, installed on the farm's space at start so
     /// the run can be audited with the `plinda::check` checkers.
@@ -323,6 +325,9 @@ impl<T: Payload + 'static, R: Payload + 'static> TaskFarm<T, R> {
     /// Spawn `cfg.workers` workers named `name` running `body` for each
     /// task, and start the kill schedule. The body receives the task's
     /// flag and payload; the farm wraps each call in a transaction.
+    ///
+    /// Panics if the kill schedule names a worker index not below
+    /// `cfg.workers`.
     pub fn start<F>(name: &str, cfg: FarmConfig, body: F) -> Self
     where
         F: Fn(&mut WorkerScope<'_, T, R>, i64, T) -> Result<(), PlindaError>
@@ -330,6 +335,13 @@ impl<T: Payload + 'static, R: Payload + 'static> TaskFarm<T, R> {
             + Sync
             + 'static,
     {
+        for &(_, index) in &cfg.kill_schedule {
+            assert!(
+                index < cfg.workers,
+                "farm {name:?}: kill schedule names worker {index}, but the farm has {} workers",
+                cfg.workers
+            );
+        }
         let rt = Runtime::with_space(
             cfg.space
                 .clone()
@@ -738,6 +750,15 @@ mod tests {
         assert!(report.respawns >= 1, "at least one injected kill landed");
         // Every task committed exactly once despite the kills.
         assert_eq!(report.worker_stats.iter().map(|s| s.tasks).sum::<u64>(), 60);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "farm \"oob\": kill schedule names worker 2, but the farm has 2 workers"
+    )]
+    fn kill_schedule_index_out_of_range_panics() {
+        let cfg = FarmConfig::bag(2).kill_after(Duration::from_millis(1), 2);
+        TaskFarm::<i64, i64>::start("oob", cfg, |_, _, _| Ok(()));
     }
 
     #[test]

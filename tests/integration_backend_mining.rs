@@ -71,6 +71,25 @@ fn plet_lb_over_socket_survives_kills_with_consistent_ledger() {
 }
 
 #[test]
+fn pled_and_hybrid_over_socket_equal_sequential_edt() {
+    use fpdm::core::parallel::{parallel_edt_cfg, parallel_hybrid_cfg};
+    let p = Arc::new(workload());
+    let reference = sequential_edt(&*p);
+    assert!(!reference.is_empty());
+
+    let broker = Broker::start(BrokerConfig::new(socket_path("pled"))).unwrap();
+    let space = Arc::new(TupleSpace::connect_unix(broker.socket()).unwrap());
+    let cfg = ParallelConfig::load_balanced(3).with_space(space);
+    let pled = parallel_edt_cfg(Arc::clone(&p), &cfg);
+    assert_eq!(reference.good, pled.good);
+    assert_eq!(reference.tested, pled.tested, "Theorem 2");
+
+    let cfg = cfg.kill_after(Duration::from_millis(2), 1);
+    let hybrid = parallel_hybrid_cfg(Arc::clone(&p), &cfg, 2);
+    assert_eq!(reference.good, hybrid.good, "Theorem 4, with a kill");
+}
+
+#[test]
 fn seqmine_over_socket_equals_sequential() {
     // One of the newly farmed miners over the broker: byte-identical
     // report, even with a worker kill mid-run.
@@ -101,9 +120,10 @@ fn seqmine_over_socket_equals_sequential() {
 
 #[test]
 fn treemine_and_episodes_over_socket_equal_sequential() {
-    use fpdm::episodes::{discover_episodes, EpisodeParams, EventSequence};
-    use fpdm::parmine::{parallel_episodes_metered, parallel_treemine_metered};
-    use fpdm::treemine::{discover_tree_motifs, OrderedTree, TreeDiscoveryParams};
+    use fpdm::episodes::{discover_episodes, discover_episodes_farm, EpisodeParams, EventSequence};
+    use fpdm::treemine::{
+        discover_tree_motifs, discover_tree_motifs_farm, OrderedTree, TreeDiscoveryParams,
+    };
 
     let trees: Vec<OrderedTree> = ["N(M(R,H),I(B))", "N(M(R,H))", "M(R,H,B)", "I(M(R,H),B)"]
         .iter()
@@ -118,7 +138,11 @@ fn treemine_and_episodes_over_socket_equal_sequential() {
     let tref = discover_tree_motifs(trees.clone(), tparams.clone());
     let broker = Broker::start(BrokerConfig::new(socket_path("treemine"))).unwrap();
     let space = Arc::new(TupleSpace::connect_unix(broker.socket()).unwrap());
-    let got = parallel_treemine_metered(trees, tparams, 2, None, Some(space));
+    let got = discover_tree_motifs_farm(
+        trees,
+        tparams,
+        &ParallelConfig::load_balanced(2).with_space(space),
+    );
     assert_eq!(tref, got);
 
     let events = EventSequence::new(
@@ -135,7 +159,11 @@ fn treemine_and_episodes_over_socket_equal_sequential() {
     let eref = discover_episodes(&events, eparams.clone());
     let broker = Broker::start(BrokerConfig::new(socket_path("episodes"))).unwrap();
     let space = Arc::new(TupleSpace::connect_unix(broker.socket()).unwrap());
-    let got = parallel_episodes_metered(&events, eparams, 2, None, Some(space));
+    let got = discover_episodes_farm(
+        &events,
+        eparams,
+        &ParallelConfig::load_balanced(2).with_space(space),
+    );
     assert_eq!(eref, got);
 }
 

@@ -1,7 +1,7 @@
 //! Property tests of the framework's equivalence theorems (Ch. 3):
 //! for randomly generated mining problems, every traversal — EDT, ETT,
-//! PLED, PLET in both worker styles — produces the same good patterns,
-//! and the EDT never tests more candidates than the ETT.
+//! PLED, PLET in both worker styles, the hybrid — produces the same good
+//! patterns, and the EDT never tests more candidates than the ETT.
 
 use fpdm::core::prelude::*;
 use proptest::prelude::*;
@@ -53,26 +53,22 @@ proptest! {
         txns in arb_transactions(),
         min_support in 1usize..5,
         workers in 1usize..4,
+        switch in prop_oneof![1usize..5, Just(64)],
     ) {
         let p = Arc::new(ToyItemsets::new(txns, min_support));
         let reference = sequential_edt(&*p);
         let pled = parallel_edt(Arc::clone(&p), workers);
         prop_assert_eq!(&reference.good, &pled.good);
         prop_assert_eq!(reference.tested, pled.tested);
-        for strategy in [WorkerStrategy::LoadBalanced, WorkerStrategy::Optimistic] {
-            let cfg = ParallelConfig {
-                workers,
-                strategy,
-                initial_task_level: 1,
-                kill_schedule: Vec::new(),
-                recorder: None,
-                metrics: None,
-                space: None,
-                prefetch: None,
-                job_tag: None,
-            };
+        for cfg in [ParallelConfig::load_balanced(workers), ParallelConfig::optimistic(workers)] {
             let plet = parallel_ett(Arc::clone(&p), &cfg);
             prop_assert_eq!(&reference.good, &plet.good);
+        }
+        // Theorem 4; switching below the deepest level is pure PLED.
+        let hybrid = parallel_hybrid(Arc::clone(&p), workers, switch);
+        prop_assert_eq!(&reference.good, &hybrid.good);
+        if switch == 64 {
+            prop_assert_eq!(reference.tested, hybrid.tested);
         }
     }
 

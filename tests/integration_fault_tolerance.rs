@@ -3,7 +3,6 @@
 //! state of a failure-free execution.
 
 use fpdm::core::prelude::*;
-use fpdm::core::WorkerStrategy;
 use fpdm::datagen::{basket_db, BasketSpec};
 use std::sync::Arc;
 use std::time::Duration;
@@ -38,17 +37,9 @@ fn load_balanced_survives_worker_kills() {
 fn optimistic_survives_worker_kills() {
     let p = Arc::new(workload());
     let reference = sequential_ett(&*p);
-    let cfg = ParallelConfig {
-        workers: 3,
-        strategy: WorkerStrategy::Optimistic,
-        initial_task_level: 1,
-        kill_schedule: vec![(Duration::from_millis(1), 2), (Duration::from_millis(4), 0)],
-        recorder: None,
-        metrics: None,
-        space: None,
-        prefetch: None,
-        job_tag: None,
-    };
+    let cfg = ParallelConfig::optimistic(3)
+        .kill_after(Duration::from_millis(1), 2)
+        .kill_after(Duration::from_millis(4), 0);
     let got = parallel_ett(Arc::clone(&p), &cfg);
     assert_eq!(reference.good, got.good);
 }

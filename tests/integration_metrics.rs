@@ -77,10 +77,8 @@ fn real_and_simulated_ledgers_share_the_frozen_schema() {
 
 /// One metered run per farmed lattice miner, on doc-test-scale inputs.
 fn miner_ledgers() -> Vec<(&'static str, MetricsSnapshot)> {
+    use fpdm::core::ParallelConfig;
     use fpdm::episodes::{EpisodeParams, EventSequence};
-    use fpdm::parmine::{
-        parallel_episodes_metered, parallel_seqmine_metered, parallel_treemine_metered,
-    };
     use fpdm::seqmine::{DiscoveryParams, Sequence};
     use fpdm::treemine::{OrderedTree, TreeDiscoveryParams};
 
@@ -91,12 +89,10 @@ fn miner_ledgers() -> Vec<(&'static str, MetricsSnapshot)> {
         .iter()
         .map(|s| Sequence::from_str(s))
         .collect();
-    let found = parallel_seqmine_metered(
+    let found = fpdm::seqmine::discover_farm(
         db.clone(),
         DiscoveryParams::new(3, 7, 2, 0),
-        3,
-        Some(reg.clone()),
-        None,
+        &ParallelConfig::load_balanced(3).with_metrics(reg.clone()),
     );
     assert_eq!(
         found,
@@ -115,8 +111,11 @@ fn miner_ledgers() -> Vec<(&'static str, MetricsSnapshot)> {
         min_occurrence: 4,
         max_distance: 0,
     };
-    let found =
-        parallel_treemine_metered(trees.clone(), params.clone(), 2, Some(reg.clone()), None);
+    let found = fpdm::treemine::discover_tree_motifs_farm(
+        trees.clone(),
+        params.clone(),
+        &ParallelConfig::load_balanced(2).with_metrics(reg.clone()),
+    );
     assert_eq!(found, fpdm::treemine::discover_tree_motifs(trees, params));
     out.push(("treemine", reg.snapshot()));
 
@@ -132,7 +131,11 @@ fn miner_ledgers() -> Vec<(&'static str, MetricsSnapshot)> {
         min_length: 2,
         max_length: 3,
     };
-    let found = parallel_episodes_metered(&events, params.clone(), 2, Some(reg.clone()), None);
+    let found = fpdm::episodes::discover_episodes_farm(
+        &events,
+        params.clone(),
+        &ParallelConfig::load_balanced(2).with_metrics(reg.clone()),
+    );
     assert_eq!(found, fpdm::episodes::discover_episodes(&events, params));
     out.push(("episodes", reg.snapshot()));
 
